@@ -3,8 +3,8 @@
 // enforcing the invariants stock tooling cannot know about: simulator
 // determinism (direct and transitive, via the whole-program call graph),
 // lock discipline and global lock ordering, hot-path allocation budgets,
-// error discipline, enum-switch exhaustiveness, and batch/row kernel
-// parity.
+// error discipline, enum-switch exhaustiveness, and batch kernel
+// equivalence with the reference oracle.
 //
 // Usage:
 //

@@ -52,25 +52,25 @@ func realSort() {
 		MustBuild()
 	plans := engine.Plans{
 		"map": func(ctx *engine.TaskContext) error {
-			part, err := ctx.TablePartition("records")
+			part, err := ctx.TablePartitionBatch("records")
 			if err != nil {
 				return err
 			}
-			sorted := append([]engine.Row(nil), part...)
-			engine.SortRows(sorted, []int{0})
-			return ctx.EmitByRange("reduce", sorted, []int{0}, bounds)
+			return ctx.EmitBatchByRange("reduce", engine.SortBatch(part, []int{0}), []int{0}, bounds)
 		},
 		"reduce": func(ctx *engine.TaskContext) error {
-			runs, err := ctx.InputRuns("map")
+			in, err := ctx.InputBatch("map")
 			if err != nil {
 				return err
 			}
-			merged := engine.MergeSortedRuns(runs, []int{0})
-			out := make([]engine.Row, len(merged))
-			for i, r := range merged {
-				out[i] = engine.Row{int64(ctx.Index()), r[0]}
+			// Tag each key with the reducer index so global order is
+			// checkable across the sink.
+			sorted := engine.SortBatch(in, []int{0})
+			tag := make([]int64, sorted.Len)
+			for i := range tag {
+				tag[i] = int64(ctx.Index())
 			}
-			ctx.Sink(out)
+			ctx.SinkBatch(engine.NewBatch(engine.Int64Col(tag)).WithCol(sorted.Cols[0]))
 			return nil
 		},
 	}
@@ -78,7 +78,9 @@ func realSort() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	engine.SortRows(out, []int{0, 1})
+	// A stable sort by reducer keeps each reducer's output order, so the
+	// keys must then ascend across the whole result.
+	out = engine.SortBatch(engine.BatchFromRows(out), []int{0}).Rows()
 	prev := int64(-1)
 	for _, r := range out {
 		if v := r[1].(int64); v < prev {

@@ -3,11 +3,11 @@ package engine
 import "fmt"
 
 // Batch is the engine's columnar record set: a fixed-schema slice of typed
-// vectors plus per-column null bitmaps. Operators carry batches end-to-end
-// — scan, filter, join, aggregate, shuffle write, wire transfer — so the
-// per-cell interface boxing and interface-dispatch comparison of the row
-// model is paid only at the row↔batch adapter seam (Rows/BatchFromRows),
-// which exists for Plans written against the row API.
+// vectors plus per-column null bitmaps. It is the only segment format:
+// operators carry batches end-to-end — scan, filter, join, aggregate,
+// shuffle write, wire transfer — and rows appear only at the edges, where
+// tables are built from rows (BatchFromRows) and sink results come out as
+// rows (Rows).
 type Batch struct {
 	Cols []Column
 	Len  int // row count; every column holds exactly Len values
@@ -26,7 +26,7 @@ type ColType uint8
 
 // Physical column types. TAny is the escape hatch for kind-mixed columns
 // (e.g. an int64/float64 union key): values stay boxed, exactly as the row
-// model held them, so the adapter is total over any row input.
+// model held them, so BatchFromRows is total over any row input.
 const (
 	TInt64 ColType = iota
 	TFloat64
@@ -127,7 +127,7 @@ func (c *Column) hasNulls() bool {
 	return false
 }
 
-// Value boxes row i of the column (nil for NULL). This is the adapter-seam
+// Value boxes row i of the column (nil for NULL). This is the row-edge
 // read; batch kernels read the typed vectors directly.
 func (c *Column) Value(i int) Value {
 	if c.IsNull(i) {
@@ -207,7 +207,7 @@ func (b *Batch) physical(j int) int {
 // Materialize densifies a selection-vector view into a batch whose columns
 // hold exactly its logical rows (one typed gather). Dense batches return
 // unchanged — the call is free on the common path, so boundaries
-// (codec, store, row adapter) invoke it unconditionally.
+// (codec, store, sink) invoke it unconditionally.
 func (b *Batch) Materialize() *Batch {
 	if b == nil || b.Sel == nil {
 		return b
@@ -225,8 +225,7 @@ func (b *Batch) IsNull(col, row int) bool { return b.Cols[col].IsNull(b.physical
 // BatchFromRows converts rows into a batch: each column becomes the
 // narrowest typed vector that holds every value (nil values are NULL bits),
 // falling back to TAny when kinds mix. Ragged rows are tolerated — missing
-// trailing cells read as NULL — so the adapter is total over anything a
-// Plan emits.
+// trailing cells read as NULL — so conversion is total over any row set.
 func BatchFromRows(rows []Row) *Batch {
 	ncols := 0
 	for _, r := range rows {
@@ -315,7 +314,7 @@ func columnFromRows(rows []Row, c int) Column {
 	return col
 }
 
-// Rows materialises the batch as rows (the adapter-seam read). Row storage
+// Rows materialises the batch as rows (the sink's result edge). Row storage
 // is carved from an arena, one slab per ~4096 values.
 func (b *Batch) Rows() []Row {
 	return b.AppendRows(nil)
@@ -337,16 +336,6 @@ func (b *Batch) AppendRows(dst []Row) []Row {
 		dst = append(dst, r)
 	}
 	return dst
-}
-
-// RowAt materialises (logical) row i.
-func (b *Batch) RowAt(i int) Row {
-	p := b.physical(i)
-	r := make(Row, len(b.Cols))
-	for c := range b.Cols {
-		r[c] = b.Cols[c].Value(p)
-	}
-	return r
 }
 
 // Project returns a batch holding the selected columns. Column vectors are
@@ -433,12 +422,14 @@ func gatherCol(src *Column, sel []int32) Column {
 	return out
 }
 
-// ConcatBatches concatenates runs into one batch (the batch counterpart of
-// flattening Input runs). Columns with matching types append typed;
+// ConcatBatches concatenates runs into one batch (InputBatch flattening
+// its per-producer runs). Columns with matching types append typed;
 // dictionary runs widen back to plain strings (different runs carry
 // different dictionaries) and genuinely mismatched types degrade that
 // column to TAny, preserving each value's boxed kind. Runs must agree on
 // column count (empty runs are skipped; selection views materialise).
+// When no run has rows, the result is a zero-row batch with the first
+// run's columns.
 func ConcatBatches(runs []*Batch) *Batch {
 	for _, r := range runs {
 		if r != nil && r.Sel != nil {
@@ -465,6 +456,13 @@ func ConcatBatches(runs []*Batch) *Batch {
 		}
 	}
 	if ncols < 0 {
+		// No rows: keep the first run's columns, so kernels over an empty
+		// input still find their key columns.
+		for _, r := range runs {
+			if r != nil && len(r.Cols) > 0 {
+				return r.Gather(nil)
+			}
+		}
 		return &Batch{}
 	}
 	out := &Batch{Cols: make([]Column, ncols), Len: total}

@@ -2,11 +2,11 @@ package engine
 
 import "testing"
 
-// Batch-kernel counterparts of the row microbenchmarks, on the same
-// workloads (same sizes, key domains and seeds), so `benchstat` and the
-// EXPERIMENTS.md table compare the two data planes apples-to-apples. The
-// row→batch conversion happens outside the timer: plans hold batches
-// end-to-end, so conversion is not part of the steady-state cost.
+// Batch-kernel microbenchmarks over benchRows workloads (the sizes, key
+// domains and seeds of the row-plane benchmarks they replaced, so the
+// EXPERIMENTS.md history stays comparable). The row→batch conversion
+// happens outside the timer: plans hold batches end-to-end, so conversion
+// is not part of the steady-state cost.
 
 func BenchmarkBatchHashJoin(b *testing.B) {
 	build := BatchFromRows(benchRows(1000, 500, 1))
@@ -55,6 +55,18 @@ func BenchmarkBatchSort(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+func BenchmarkBatchTopK(b *testing.B) {
+	batch := BatchFromRows(benchRows(8000, 8000, 5))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out := TopKBatch(batch, []int{0}, 50, false)
+		if out.Len != 50 {
+			b.Fatal("wrong k")
+		}
 	}
 }
 

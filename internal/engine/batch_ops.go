@@ -9,9 +9,8 @@ import (
 
 // Batch-native operator kernels. Each kernel dispatches on column type once
 // per batch (building a typed closure or running a typed loop) instead of
-// unpacking an interface per cell, which is where the row kernels spend
-// their time. Every kernel is pinned to its row counterpart by equivalence
-// property tests in batch_test.go.
+// unpacking an interface per cell. Every kernel is pinned to a naive row
+// reference oracle (oracle_test.go) by equivalence property tests.
 //
 // Kernels consume lazy (selection-vector) batches directly: logical row j
 // reads physical row Sel[j], so a filter's output flows into hashing,
@@ -29,6 +28,9 @@ import (
 //
 //lint:hotpath
 func HashBatchInto(b *Batch, keys []int, dst []uint64) {
+	if len(dst) == 0 {
+		return // an empty batch may carry no columns at all
+	}
 	for i := range dst {
 		dst[i] = fnvOffset64
 	}
@@ -387,8 +389,7 @@ func colComparator(c *Column) func(i, j int) int {
 // (argsort over an index vector, then one typed gather; a lazy input's
 // selection vector seeds the argsort, so sorting a filtered batch never
 // materialises the pre-sort view). A single null-free typed key takes a
-// direct comparator — no closure chain — the same fast lane SortRows has
-// for kind-homogeneous columns. The result is dense.
+// direct comparator — no closure chain. The result is dense.
 //
 //lint:hotpath
 func SortBatch(b *Batch, keys []int) *Batch {
@@ -399,6 +400,9 @@ func SortBatch(b *Batch, keys []int) *Batch {
 		}
 	} else {
 		copy(idx, b.Sel)
+	}
+	if len(idx) < 2 {
+		return b.Gather(idx)
 	}
 	if len(keys) == 1 && sortIdxSingleKey(idx, &b.Cols[keys[0]]) {
 		return b.Gather(idx)
@@ -469,6 +473,93 @@ func sortIdxSingleKey(idx []int32, c *Column) bool {
 		return false
 	}
 	return true
+}
+
+// TopKBatch returns the first k rows of SortBatch(b, keys), or of its
+// reverse when desc is set (ORDER BY ... DESC LIMIT k: ties then come in
+// reverse input order). Rows are selected with a bounded max-heap over
+// an index vector — O(n log k) instead of a full argsort — whose root is
+// the kept row that would be listed last. k >= Len is a full sort. The
+// result is dense.
+//
+//lint:hotpath
+func TopKBatch(b *Batch, keys []int, k int, desc bool) *Batch {
+	k = max(0, min(k, b.Len))
+	if k == 0 {
+		return b.Gather(nil)
+	}
+	if k == b.Len {
+		out := SortBatch(b, keys)
+		if desc {
+			rev := make([]int32, out.Len)
+			for i := range rev {
+				rev[i] = int32(out.Len - 1 - i)
+			}
+			out = out.Gather(rev)
+		}
+		return out
+	}
+	cmps := make([]func(i, j int) int, len(keys))
+	for x, key := range keys {
+		cmps[x] = colComparator(&b.Cols[key])
+	}
+	// before reports whether logical row x is listed ahead of row y: by key,
+	// then by input position, the whole order reversed for desc.
+	before := func(x, y int32) bool {
+		if desc {
+			x, y = y, x
+		}
+		px, py := b.physical(int(x)), b.physical(int(y))
+		for _, cmp := range cmps {
+			if c := cmp(px, py); c != 0 {
+				return c < 0
+			}
+		}
+		return x < y
+	}
+	h := make([]int32, k)
+	for i := range h {
+		h[i] = int32(i)
+	}
+	siftDown := func(i int) {
+		for {
+			l := 2*i + 1
+			if l >= k {
+				return
+			}
+			m := l
+			if r := l + 1; r < k && before(h[l], h[r]) {
+				m = r
+			}
+			if !before(h[i], h[m]) {
+				return
+			}
+			h[i], h[m] = h[m], h[i]
+			i = m
+		}
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(i)
+	}
+	for j := int32(k); j < int32(b.Len); j++ {
+		if before(j, h[0]) {
+			h[0] = j
+			siftDown(0)
+		}
+	}
+	slices.SortFunc(h, func(x, y int32) int {
+		switch {
+		case x == y:
+			return 0
+		case before(x, y):
+			return -1
+		}
+		return 1
+	})
+	for i, j := range h {
+		h[i] = int32(b.physical(int(j)))
+	}
+	return b.Gather(h)
 }
 
 // ---- partitioning ----
@@ -655,8 +746,8 @@ func scatterBatch(b *Batch, pidx []uint32, counts []int) []*Batch {
 // ---- hash join ----
 
 // HashJoinBatch inner-joins probe rows against a materialised build side on
-// equal keys, emitting probe columns followed by build columns — the same
-// rows in the same order as the row HashJoin over the same inputs. The
+// equal keys, emitting probe columns followed by build columns: probe rows
+// in input order, each followed by its matches in build order. The
 // build table maps hash → carved index bucket; matches accumulate as
 // physical index pairs and materialise with two typed gathers, so lazy
 // inputs join through their selections.
@@ -714,11 +805,12 @@ func HashJoinBatch(build *Batch, buildKeys []int, probe *Batch, probeKeys []int)
 
 // HashAggregateBatch groups the batch by the key columns and folds the
 // aggregates, emitting key columns followed by one column per aggregate,
-// sorted by key like HashAggregate. Group discovery hashes columnar and
-// chains collisions through index slices; each aggregate then folds in one
-// typed pass over the whole batch, so sums over an int64 or float64 column
-// never box a value. Output columns stay typed: Count and int sums are
-// TInt64 vectors, float sums TFloat64, Min/Max the input column's type.
+// sorted by key; a group's key values come from its first row. Group
+// discovery hashes columnar and chains collisions through index slices;
+// each aggregate then folds in one typed pass over the whole batch, so sums
+// over an int64 or float64 column never box a value. Output columns stay
+// typed: Count and int sums are TInt64 vectors, float sums TFloat64,
+// Min/Max the input column's type.
 //
 //lint:hotpath
 func HashAggregateBatch(b *Batch, keys []int, aggs []Agg) *Batch {
@@ -868,7 +960,7 @@ func aggColumn(b *Batch, a Agg, gids []int32, groups int) Column {
 	}
 	// Boxed lane: TAny columns (mixed numeric sums promote per group, like
 	// accCell), bool min/max, and sums over non-numeric types (which panic
-	// inside fold, matching the row kernel).
+	// inside fold).
 	accs := make([]accCell, groups)
 	for j := range gids {
 		accs[gids[j]].fold(a.Kind, col.Value(b.physical(j)))
@@ -898,9 +990,8 @@ func withUnseenNulls(c Column, seen []bool) Column {
 
 // WindowBatch evaluates the window spec over the batch, returning the rows
 // ordered by (PartitionBy, OrderBy) with the window value appended as a new
-// typed column (int64 for ranks, float64 for running sums) — the batch
-// counterpart of Window. SortBatch densifies first, so the pass below runs
-// over physical rows.
+// typed column (int64 for ranks, float64 for running sums). SortBatch
+// densifies first, so the pass below runs over physical rows.
 //
 //lint:hotpath
 func WindowBatch(b *Batch, spec WindowSpec) *Batch {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -67,8 +68,7 @@ func TestCompareNilTotal(t *testing.T) {
 		}
 	}
 	// NULL sorts first.
-	rows := []Row{{int64(2)}, {nil}, {int64(1)}, {nil}}
-	SortRows(rows, []int{0})
+	rows := SortBatch(BatchFromRows([]Row{{int64(2)}, {nil}, {int64(1)}, {nil}}), []int{0}).Rows()
 	if rows[0][0] != nil || rows[1][0] != nil || rows[2][0] != int64(1) || rows[3][0] != int64(2) {
 		t.Errorf("sorted = %v", rows)
 	}
@@ -167,10 +167,8 @@ func TestSortBatchEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for _, keys := range [][]int{{0}, {1}, {2}, {3}, {4}, {2, 0}, {4, 1, 0}} {
 		rows := randRows(r, 150)
-		want := append([]Row(nil), rows...)
-		SortRows(want, keys)
 		got := SortBatch(BatchFromRows(rows), keys)
-		rowsEqual(t, "sort", got.Rows(), want)
+		rowsEqual(t, "sort", got.Rows(), sortRows(rows, keys))
 	}
 }
 
@@ -184,11 +182,8 @@ func TestHashJoinBatchEquivalence(t *testing.T) {
 		{[]int{4}, []int{4}},
 		{[]int{0}, []int{4}}, // cross-kind numeric keys
 	} {
-		want := Drain(NewHashJoin(build, tc.bk, NewSliceIter(probe), tc.pk))
 		got := HashJoinBatch(BatchFromRows(build), tc.bk, BatchFromRows(probe), tc.pk)
-		// Row join emits probe||build; batch join emits probe cols then
-		// build cols — same layout, same order.
-		rowsEqual(t, "join", got.Rows(), want)
+		rowsEqual(t, "join", got.Rows(), joinRows(build, tc.bk, probe, tc.pk))
 	}
 }
 
@@ -206,7 +201,7 @@ func TestHashAggregateBatchEquivalence(t *testing.T) {
 		{[]int{0, 1, 2, 3, 4}, []Agg{{AggCount, 0}}},
 		{[]int{3}, nil}, // distinct
 	} {
-		want := HashAggregate(rows, tc.keys, tc.aggs)
+		want := aggregateRows(rows, tc.keys, tc.aggs)
 		got := HashAggregateBatch(BatchFromRows(rows), tc.keys, tc.aggs)
 		if want == nil {
 			if got.Len != 0 {
@@ -227,7 +222,7 @@ func TestWindowBatchEquivalence(t *testing.T) {
 	rows := randRows(r, 120)
 	for _, fn := range []WindowFunc{WinRowNumber, WinRank, WinDenseRank, WinRunningSum} {
 		spec := WindowSpec{PartitionBy: []int{2}, OrderBy: []int{0}, Func: fn, ValueCol: 1}
-		want := Window(rows, spec)
+		want := windowRows(rows, spec)
 		got := WindowBatch(BatchFromRows(rows), spec)
 		rowsEqual(t, "window", got.Rows(), want)
 	}
@@ -237,7 +232,7 @@ func TestPartitionBatchByKeyEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	rows := randRows(r, 300)
 	for _, n := range []int{1, 2, 7} {
-		wantParts := PartitionByKey(rows, []int{0, 2}, n)
+		wantParts := partitionRowsByKey(rows, []int{0, 2}, n)
 		gotParts := PartitionBatchByKey(BatchFromRows(rows), []int{0, 2}, n)
 		if len(gotParts) != len(wantParts) {
 			t.Fatalf("n=%d: %d parts, want %d", n, len(gotParts), len(wantParts))
@@ -252,13 +247,42 @@ func TestPartitionBatchByRangeEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
 	rows := randRows(r, 200)
 	bounds := []Row{{int64(5)}, {int64(12)}}
-	wantParts := PartitionByRange(rows, []int{0}, bounds)
+	wantParts := partitionRowsByRange(rows, []int{0}, bounds)
 	gotParts := PartitionBatchByRange(BatchFromRows(rows), []int{0}, bounds)
 	if len(gotParts) != len(wantParts) {
 		t.Fatalf("%d parts, want %d", len(gotParts), len(wantParts))
 	}
 	for p := range wantParts {
 		rowsEqual(t, "range partition", gotParts[p].Rows(), wantParts[p])
+	}
+}
+
+// TestTopKBatchEquivalence pins TopKBatch to its definition: the first k
+// rows of the stable sort, reversed first for DESC — over ties, k = 0,
+// k >= Len, NULL keys, a lazy input, and both directions.
+func TestTopKBatchEquivalence(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	rows := randRows(r, 90) // small key domains: many ties; ~15% NULL keys
+	b := BatchFromRows(rows)
+	keep := func(i int) bool { return i%3 != 1 }
+	lazy := FilterBatch(b, keep)
+	var kept []Row
+	for i, row := range rows {
+		if keep(i) {
+			kept = append(kept, row)
+		}
+	}
+	for _, keys := range [][]int{{0}, {2}, {4}, {3, 0}, nil} {
+		for _, k := range []int{0, 1, 7, 59, 60, 90, 200} {
+			for _, desc := range []bool{false, true} {
+				what := fmt.Sprintf("keys %v k=%d desc=%v", keys, k, desc)
+				rowsEqual(t, what, TopKBatch(b, keys, k, desc).Rows(), topKRows(rows, keys, k, desc))
+				rowsEqual(t, "lazy "+what, TopKBatch(lazy, keys, k, desc).Rows(), topKRows(kept, keys, k, desc))
+			}
+		}
+	}
+	if got := TopKBatch(&Batch{}, []int{0}, 5, true); got.Len != 0 {
+		t.Errorf("top-k of an empty batch = %d rows", got.Len)
 	}
 }
 
@@ -284,4 +308,11 @@ func TestConcatBatches(t *testing.T) {
 		t.Errorf("int+null concat type = %v", n.Cols[0].Type)
 	}
 	rowsEqual(t, "int+null concat", n.Rows(), []Row{{int64(1)}, {nil}})
+
+	// Runs without rows keep their columns: an empty shuffle input still
+	// has the key columns a kernel reads.
+	none := ConcatBatches([]*Batch{nil, {}, ints.Gather(nil), strs.Gather(nil)})
+	if none.Len != 0 || none.NumCols() != 1 || none.Cols[0].Type != TInt64 {
+		t.Errorf("concat of empty runs = %d rows, %d cols", none.Len, none.NumCols())
+	}
 }

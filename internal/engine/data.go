@@ -1,8 +1,8 @@
 // Package engine is Swift's real execution runtime: it runs DAG jobs on
-// actual rows, with executors as goroutines, in-memory Cache Workers
-// backing the Local/Remote shuffle paths, per-task channels backing Direct
-// Shuffle, and the same controller (package core) that drives the
-// simulator making every scheduling and recovery decision. It is the
+// real data held as columnar batches, with executors as goroutines,
+// in-memory Cache Workers backing the Local/Remote shuffle paths, per-task
+// channels backing Direct Shuffle, and the same controller (package core)
+// that drives the simulator making every scheduling and recovery decision. It is the
 // engine behind the runnable examples and the swiftsim tool's --engine
 // mode; the discrete-event simulator (package simrun) remains the
 // substrate for paper-scale experiments.
@@ -11,13 +11,12 @@ package engine
 import (
 	"fmt"
 	"math"
-	"slices"
-	"strings"
 	"sync"
 )
 
-// Value is one field of a row. The engine operates on untyped values the
-// way a columnar runtime would on decoded cells; comparisons follow Compare.
+// Value is one field of a row: a table cell before BatchFromRows, a
+// result cell after Batch.Rows, and a boxed TAny cell; comparisons follow
+// Compare.
 type Value interface{}
 
 // Row is one record.
@@ -118,73 +117,6 @@ func cmpFloat(a, b float64) int {
 	return 0
 }
 
-// CompareRows orders rows by the given key columns.
-func CompareRows(a, b Row, keys []int) int {
-	for _, k := range keys {
-		if c := Compare(a[k], b[k]); c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
-// SortRows sorts rows in place by the key columns (stable). Single-key
-// sorts over a kind-homogeneous column take a typed fast path that skips
-// the per-comparison type switch of Compare.
-func SortRows(rows []Row, keys []int) {
-	if len(keys) == 1 && sortSingleKey(rows, keys[0]) {
-		return
-	}
-	slices.SortStableFunc(rows, func(a, b Row) int { return CompareRows(a, b, keys) })
-}
-
-// sortSingleKey dispatches to a typed comparator when every value in the
-// key column shares one concrete kind, reporting whether it sorted.
-func sortSingleKey(rows []Row, k int) bool {
-	if len(rows) < 2 {
-		return true
-	}
-	switch rows[0][k].(type) {
-	case int64:
-		for _, r := range rows {
-			if _, ok := r[k].(int64); !ok {
-				return false
-			}
-		}
-		slices.SortStableFunc(rows, func(a, b Row) int {
-			av, bv := a[k].(int64), b[k].(int64)
-			switch {
-			case av < bv:
-				return -1
-			case av > bv:
-				return 1
-			}
-			return 0
-		})
-	case string:
-		for _, r := range rows {
-			if _, ok := r[k].(string); !ok {
-				return false
-			}
-		}
-		slices.SortStableFunc(rows, func(a, b Row) int {
-			return strings.Compare(a[k].(string), b[k].(string))
-		})
-	case float64:
-		for _, r := range rows {
-			if _, ok := r[k].(float64); !ok {
-				return false
-			}
-		}
-		slices.SortStableFunc(rows, func(a, b Row) int {
-			return cmpFloat(a[k].(float64), b[k].(float64))
-		})
-	default:
-		return false
-	}
-	return true
-}
-
 // FNV-1a parameters and per-kind tags. Tags keep values of different kinds
 // from trivially colliding; int64 and float64 share the number tag because
 // Compare treats them as one numeric domain.
@@ -220,7 +152,8 @@ func hashString(h uint64, s string) uint64 {
 // allocating for int64, float64, string or bool values. Numeric values are
 // normalized before hashing: a float64 that is exactly an integer hashes
 // identically to the equal int64, so mixed-kind keys that Compare as equal
-// land in the same EmitByKey partition and HashJoin/HashAggregate bucket.
+// land in the same shuffle partition and join/aggregate bucket. It is the
+// reference HashBatchInto matches bit for bit.
 func Hash(r Row, keys []int) uint64 {
 	h := uint64(fnvOffset64)
 	for _, k := range keys {
@@ -262,10 +195,10 @@ func Hash(r Row, keys []int) uint64 {
 }
 
 // rowArena carves output rows from shared value blocks, replacing the
-// one-allocation-per-row cost of operators that materialise concatenated
-// or aggregated rows. Carved rows have len == cap, so appending to one
-// copies out instead of clobbering its arena neighbour. Arenas are
-// single-goroutine and never reuse carved space.
+// one-allocation-per-row cost of materialising a batch as rows. Carved
+// rows have len == cap, so appending to one copies out instead of
+// clobbering its arena neighbour. Arenas are single-goroutine and never
+// reuse carved space.
 type rowArena struct{ buf []Value }
 
 const arenaBlockValues = 4096
@@ -283,14 +216,6 @@ func (a *rowArena) alloc(n int) Row {
 	return r
 }
 
-// concat carves a ++ b as one row.
-func (a *rowArena) concat(x, y Row) Row {
-	out := a.alloc(len(x) + len(y))
-	copy(out, x)
-	copy(out[len(x):], y)
-	return out
-}
-
 // Table is a named, partitioned dataset registered with the engine;
 // partition i feeds scan task i.
 type Table struct {
@@ -306,14 +231,20 @@ type Table struct {
 }
 
 // PartitionBatch returns the columnar view of partition i (cached; callers
-// must treat it as immutable). Out-of-range partitions return an empty
-// batch, mirroring TablePartition's nil-rows behaviour.
+// must treat it as immutable). A partition without rows — including one
+// past the last, when a job scans with more tasks than the table has
+// partitions — is a zero-row batch with the table's columns, so plans read
+// an empty input rather than a batch with no columns.
 func (t *Table) PartitionBatch(i int) *Batch {
-	if i < 0 || i >= len(t.Partitions) {
-		return &Batch{}
-	}
 	t.batchMu.Lock()
 	defer t.batchMu.Unlock()
+	if i >= 0 && i < len(t.Partitions) && len(t.Partitions[i]) > 0 {
+		return t.partitionBatchLocked(i)
+	}
+	return t.emptyBatchLocked()
+}
+
+func (t *Table) partitionBatchLocked(i int) *Batch {
 	if t.batches == nil {
 		t.batches = make([]*Batch, len(t.Partitions))
 	}
@@ -321,6 +252,22 @@ func (t *Table) PartitionBatch(i int) *Batch {
 		t.batches[i] = BatchFromRows(t.Partitions[i])
 	}
 	return t.batches[i]
+}
+
+// emptyBatchLocked is a zero-row batch whose columns take their types from
+// the first non-empty partition (TInt64 for a table with no rows, as
+// BatchFromRows does for an all-NULL column).
+func (t *Table) emptyBatchLocked() *Batch {
+	for p, rows := range t.Partitions {
+		if len(rows) > 0 {
+			return t.partitionBatchLocked(p).Gather(nil)
+		}
+	}
+	cols := make([]Column, len(t.Schema))
+	for c := range cols {
+		cols[c] = Column{Type: TInt64}
+	}
+	return &Batch{Cols: cols}
 }
 
 // NewTable partitions rows round-robin into parts partitions.

@@ -3,7 +3,6 @@ package engine
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -74,14 +73,9 @@ func TestHashPropertyCompareEqualImpliesHashEqual(t *testing.T) {
 	}
 }
 
-// sortOracle is the pre-rewrite sort implementation, kept as the property
-// oracle for SortRows' typed fast paths.
-func sortOracle(rows []Row, keys []int) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		return CompareRows(rows[i], rows[j], keys) < 0
-	})
-}
-
+// TestSortRowsMatchesOracle sorts rows of each key kind through SortBatch
+// (whose typed single-key lanes pick the column's comparator) and checks
+// the stable-sort oracle's exact order.
 func TestSortRowsMatchesOracle(t *testing.T) {
 	gens := map[string]func(r *rand.Rand) Value{
 		"int64":  func(r *rand.Rand) Value { return int64(r.Intn(10)) },
@@ -107,10 +101,11 @@ func TestSortRowsMatchesOracle(t *testing.T) {
 					// comparison also checks stability.
 					rows[i] = Row{gen(r), int64(i)}
 				}
-				want := append([]Row(nil), rows...)
-				sortOracle(want, []int{0})
-				got := append([]Row(nil), rows...)
-				SortRows(got, []int{0})
+				want := sortRows(rows, []int{0})
+				got := SortBatch(BatchFromRows(rows), []int{0}).Rows()
+				if len(got) != len(want) {
+					return false
+				}
 				for i := range got {
 					if got[i][0] != want[i][0] || got[i][1] != want[i][1] {
 						return false
@@ -132,7 +127,7 @@ func TestSortRowsMultiKey(t *testing.T) {
 		{int64(2), "a", int64(2)},
 		{int64(1), "a", int64(3)},
 	}
-	SortRows(rows, []int{0, 1})
+	rows = SortBatch(BatchFromRows(rows), []int{0, 1}).Rows()
 	want := []int64{3, 1, 2, 0} // positions after (col0, col1) sort
 	for i, w := range want {
 		if rows[i][2] != w {
@@ -148,14 +143,14 @@ func TestPartitionByKey(t *testing.T) {
 		rows[i] = Row{int64(r.Intn(40)), int64(i)}
 	}
 	const n = 7
-	parts := PartitionByKey(rows, []int{0}, n)
+	parts := PartitionBatchByKey(BatchFromRows(rows), []int{0}, n)
 	if len(parts) != n {
 		t.Fatalf("parts = %d", len(parts))
 	}
 	total := 0
 	for p, part := range parts {
-		total += len(part)
-		for _, row := range part {
+		total += part.Len
+		for _, row := range part.Rows() {
 			if got := int(Hash(row, []int{0}) % n); got != p {
 				t.Fatalf("row %v in partition %d, hashes to %d", row, p, got)
 			}
@@ -165,14 +160,14 @@ func TestPartitionByKey(t *testing.T) {
 		t.Fatalf("partitions hold %d rows, want %d", total, len(rows))
 	}
 	// Mixed-kind keys that compare equal co-locate.
-	a := PartitionByKey([]Row{{int64(3)}}, []int{0}, n)
-	b := PartitionByKey([]Row{{float64(3)}}, []int{0}, n)
+	a := PartitionBatchByKey(BatchFromRows([]Row{{int64(3)}}), []int{0}, n)
+	b := PartitionBatchByKey(BatchFromRows([]Row{{float64(3)}}), []int{0}, n)
 	pa, pb := -1, -1
 	for i := 0; i < n; i++ {
-		if len(a[i]) > 0 {
+		if a[i].Len > 0 {
 			pa = i
 		}
-		if len(b[i]) > 0 {
+		if b[i].Len > 0 {
 			pb = i
 		}
 	}
@@ -180,7 +175,7 @@ func TestPartitionByKey(t *testing.T) {
 		t.Errorf("int64(3) lands in partition %d but float64(3) in %d", pa, pb)
 	}
 	// Single-consumer fan-out short-circuits.
-	if one := PartitionByKey(rows, []int{0}, 1); len(one) != 1 || len(one[0]) != len(rows) {
+	if one := PartitionBatchByKey(BatchFromRows(rows), []int{0}, 1); len(one) != 1 || one[0].Len != len(rows) {
 		t.Error("n=1 must yield one full partition")
 	}
 }
@@ -191,16 +186,15 @@ func TestPartitionByRange(t *testing.T) {
 		rows = append(rows, Row{int64(i)})
 	}
 	bounds := []Row{{int64(25)}, {int64(50)}, {int64(75)}}
-	parts := PartitionByRange(rows, []int{0}, bounds)
+	parts := PartitionBatchByRange(BatchFromRows(rows), []int{0}, bounds)
 	if len(parts) != 4 {
 		t.Fatalf("parts = %d", len(parts))
 	}
 	for p, part := range parts {
-		if len(part) != 25 {
-			t.Errorf("partition %d has %d rows", p, len(part))
+		if part.Len != 25 {
+			t.Errorf("partition %d has %d rows", p, part.Len)
 		}
-		for _, r := range part {
-			v := r[0].(int64)
+		for _, v := range part.Cols[0].Ints {
 			if p < len(bounds) && v >= int64(25*(p+1)) {
 				t.Errorf("row %d above bound in partition %d", v, p)
 			}
@@ -209,22 +203,30 @@ func TestPartitionByRange(t *testing.T) {
 			}
 		}
 	}
-	if one := PartitionByRange(rows, []int{0}, nil); len(one) != 1 || len(one[0]) != len(rows) {
+	if one := PartitionBatchByRange(BatchFromRows(rows), []int{0}, nil); len(one) != 1 || one[0].Len != len(rows) {
 		t.Error("no bounds must yield one full partition")
 	}
 }
 
-// TestPartitionByKeyAllocBudget pins the two-pass partitioner's constant
-// allocation count (pidx + counts + backing + parts).
-func TestPartitionByKeyAllocBudget(t *testing.T) {
-	rows := make([]Row, 1000)
-	for i := range rows {
-		rows[i] = Row{int64(i)}
+// TestPartitionBatchEmptyKeepsColumns: a partition without rows, and one
+// past the table's last, read as zero-row batches with the table's column
+// types, so a plan's Project and typed vector reads still work.
+func TestPartitionBatchEmptyKeepsColumns(t *testing.T) {
+	tab := NewTable("t", Schema{"k", "s"}, []Row{{int64(1), "a"}, {int64(2), "b"}}, 3)
+	for _, i := range []int{2, 3, 7} {
+		b := tab.PartitionBatch(i)
+		if b.Len != 0 || b.NumCols() != 2 || b.Cols[0].Type != TInt64 || b.Cols[1].Type != TString {
+			t.Fatalf("partition %d: %d rows, %d cols %v", i, b.Len, b.NumCols(), b.Cols)
+		}
+		if p := b.Project([]int{1}); p.Len != 0 || len(p.Cols[0].Strs) != 0 {
+			t.Fatalf("partition %d: projection of the empty batch = %v", i, p)
+		}
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		PartitionByKey(rows, []int{0}, 16)
-	})
-	if allocs > 6 {
-		t.Errorf("PartitionByKey allocates %.1f times per call, want a small constant", allocs)
+	if b := tab.PartitionBatch(0); b.Len != 1 || b.Value(1, 0) != "a" {
+		t.Fatalf("partition 0 = %v", b.Rows())
+	}
+	empty := &Table{Name: "e", Schema: Schema{"x", "y", "z"}, Partitions: make([][]Row, 2)}
+	if b := empty.PartitionBatch(5); b.Len != 0 || b.NumCols() != 3 {
+		t.Fatalf("rowless table: %d rows, %d cols", b.Len, b.NumCols())
 	}
 }

@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -63,135 +61,57 @@ func TestSchemaCol(t *testing.T) {
 }
 
 func TestFilterProjectLimit(t *testing.T) {
-	rows := []Row{intRow(1), intRow(2), intRow(3), intRow(4)}
-	it := &Limit{N: 2, In: &Project{
-		Fn: func(r Row) Row { return Row{r[0].(int64) * 10} },
-		In: &Filter{Pred: func(r Row) bool { return r[0].(int64)%2 == 0 }, In: NewSliceIter(rows)},
-	}}
-	got := Drain(it)
-	if len(got) != 2 || got[0][0] != int64(20) || got[1][0] != int64(40) {
+	b := BatchFromRows([]Row{intRow(1), intRow(2), intRow(3), intRow(4)})
+	vals := b.Cols[0].Ints
+	even := FilterBatch(b, func(i int) bool { return vals[i]%2 == 0 })
+	scaled := make([]int64, 0, even.Len)
+	for _, i := range even.Sel {
+		scaled = append(scaled, vals[i]*10)
+	}
+	got := TopKBatch(NewBatch(Int64Col(scaled)), nil, 1, false).Rows()
+	if len(got) != 1 || got[0][0] != int64(20) {
 		t.Errorf("got %v", got)
 	}
-	if r, ok := it.Next(); ok {
-		t.Errorf("limit exceeded: %v", r)
+	if all := TopKBatch(NewBatch(Int64Col(scaled)), nil, 5, false).Rows(); len(all) != 2 || all[1][0] != int64(40) {
+		t.Errorf("limit above the row count: %v", all)
 	}
 }
 
 func TestHashJoin(t *testing.T) {
 	build := []Row{{int64(1), "a"}, {int64(2), "b"}, {int64(2), "c"}}
 	probe := []Row{{int64(2), "x"}, {int64(3), "y"}, {int64(1), "z"}}
-	j := NewHashJoin(build, []int{0}, NewSliceIter(probe), []int{0})
-	got := Drain(j)
-	if len(got) != 3 {
-		t.Fatalf("got %d rows: %v", len(got), got)
+	got := HashJoinBatch(BatchFromRows(build), []int{0}, BatchFromRows(probe), []int{0}).Rows()
+	// Probe row (2,x) matches both (2,b) and (2,c), in build order.
+	want := []Row{
+		{int64(2), "x", int64(2), "b"},
+		{int64(2), "x", int64(2), "c"},
+		{int64(1), "z", int64(1), "a"},
 	}
-	// Probe row (2,x) matches both (2,b) and (2,c).
-	seen := map[string]bool{}
-	for _, r := range got {
-		seen[r[1].(string)+r[3].(string)] = true
-	}
-	for _, want := range []string{"xb", "xc", "za"} {
-		if !seen[want] {
-			t.Errorf("missing join pair %s in %v", want, got)
-		}
-	}
+	rowsEqual(t, "join", got, want)
 }
 
+// TestMergeJoin: a plan's MergeJoin operator (inner join of key-sorted
+// inputs) runs on the batch join; every pair of equal keys must meet.
 func TestMergeJoin(t *testing.T) {
 	left := []Row{{int64(1), "l1"}, {int64(2), "l2"}, {int64(2), "l2b"}, {int64(4), "l4"}}
 	right := []Row{{int64(2), "r2"}, {int64(2), "r2b"}, {int64(3), "r3"}, {int64(4), "r4"}}
-	m := NewMergeJoin(left, []int{0}, right, []int{0})
-	got := Drain(m)
+	got := HashJoinBatch(BatchFromRows(right), []int{0}, BatchFromRows(left), []int{0}).Rows()
 	// key 2: 2x2 = 4 pairs; key 4: 1 pair.
+	rowsEqual(t, "merge join", got, joinRows(right, []int{0}, left, []int{0}))
 	if len(got) != 5 {
 		t.Fatalf("got %d rows: %v", len(got), got)
 	}
-	for _, r := range got {
-		if Compare(r[0], r[2]) != 0 {
-			t.Errorf("mismatched keys in %v", r)
-		}
-	}
 }
 
-// TestMergeJoinMatchesHashJoin cross-validates the two join algorithms on
-// random inputs.
-func TestMergeJoinMatchesHashJoin(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		gen := func(n int) []Row {
-			rows := make([]Row, n)
-			for i := range rows {
-				rows[i] = Row{int64(r.Intn(8)), int64(i)}
-			}
-			return rows
-		}
-		left, right := gen(r.Intn(30)), gen(r.Intn(30))
-		SortRows(left, []int{0})
-		SortRows(right, []int{0})
-		mj := Drain(NewMergeJoin(left, []int{0}, right, []int{0}))
-		hj := Drain(NewHashJoin(right, []int{0}, NewSliceIter(left), []int{0}))
-		if len(mj) != len(hj) {
-			return false
-		}
-		key := func(rs []Row) []string {
-			out := make([]string, len(rs))
-			for i, row := range rs {
-				out[i] = rowKey(row)
-			}
-			sort.Strings(out)
-			return out
-		}
-		return reflect.DeepEqual(key(mj), key(hj))
+// mergeRuns is a reduce task's merge of key-sorted runs (OpMergeSort): the
+// runs concatenate in producer order and sort stably, so equal keys come
+// from the earliest run first.
+func mergeRuns(runs [][]Row, keys []int) []Row {
+	batches := make([]*Batch, len(runs))
+	for i, run := range runs {
+		batches[i] = BatchFromRows(run)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func rowKey(r Row) string {
-	s := ""
-	for _, v := range r {
-		switch x := v.(type) {
-		case int64:
-			s += "i" + string(rune('0'+x%10)) + "|"
-		default:
-			s += "v|"
-		}
-	}
-	return s
-}
-
-func TestHashAggregate(t *testing.T) {
-	rows := []Row{
-		{"a", int64(1)}, {"b", int64(2)}, {"a", int64(3)}, {"b", int64(4)}, {"a", int64(5)},
-	}
-	got := HashAggregate(rows, []int{0}, []Agg{{AggSum, 1}, {AggCount, 1}, {AggMin, 1}, {AggMax, 1}})
-	want := []Row{
-		{"a", int64(9), int64(3), int64(1), int64(5)},
-		{"b", int64(6), int64(2), int64(2), int64(4)},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("got %v, want %v", got, want)
-	}
-}
-
-func TestStreamedAggregateMatchesHash(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := r.Intn(100)
-		rows := make([]Row, n)
-		for i := range rows {
-			rows[i] = Row{int64(r.Intn(6)), float64(r.Intn(10))}
-		}
-		hashed := HashAggregate(rows, []int{0}, []Agg{{AggSum, 1}, {AggCount, 1}})
-		sorted := append([]Row(nil), rows...)
-		SortRows(sorted, []int{0})
-		streamed := StreamedAggregate(NewSliceIter(sorted), []int{0}, []Agg{{AggSum, 1}, {AggCount, 1}})
-		return reflect.DeepEqual(hashed, streamed)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
+	return SortBatch(ConcatBatches(batches), keys).Rows()
 }
 
 func TestMergeSortedRuns(t *testing.T) {
@@ -200,26 +120,64 @@ func TestMergeSortedRuns(t *testing.T) {
 		var runs [][]Row
 		var all []Row
 		for i := 0; i < 1+r.Intn(5); i++ {
-			n := r.Intn(20)
-			run := make([]Row, n)
+			run := make([]Row, r.Intn(20))
 			for j := range run {
-				run[j] = Row{int64(r.Intn(100))}
+				run[j] = Row{int64(r.Intn(100)), int64(i)}
 			}
-			SortRows(run, []int{0})
+			run = sortRows(run, []int{0})
 			runs = append(runs, run)
 			all = append(all, run...)
 		}
-		merged := MergeSortedRuns(runs, []int{0})
-		SortRows(all, []int{0})
-		if len(merged) != len(all) {
-			return false
+		merged := mergeRuns(runs, []int{0})
+		want := sortRows(all, []int{0})
+		return len(merged) == len(want) && (len(want) == 0 || reflect.DeepEqual(merged, want))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestMergeSortedRunsManyRuns(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	var runs [][]Row
+	var all []Row
+	for i := 0; i < 12; i++ {
+		run := make([]Row, r.Intn(40))
+		for j := range run {
+			run[j] = Row{int64(r.Intn(50)), int64(i)}
 		}
-		for i := range merged {
-			if Compare(merged[i][0], all[i][0]) != 0 {
-				return false
-			}
+		run = sortRows(run, []int{0})
+		runs = append(runs, run)
+		all = append(all, run...)
+	}
+	rowsEqual(t, "merged runs", mergeRuns(runs, []int{0}), sortRows(all, []int{0}))
+}
+
+func TestHashAggregate(t *testing.T) {
+	rows := []Row{
+		{"a", int64(1)}, {"b", int64(2)}, {"a", int64(3)}, {"b", int64(4)}, {"a", int64(5)},
+	}
+	got := HashAggregateBatch(BatchFromRows(rows), []int{0}, []Agg{{AggSum, 1}, {AggCount, 1}, {AggMin, 1}, {AggMax, 1}})
+	want := []Row{
+		{"a", int64(9), int64(3), int64(1), int64(5)},
+		{"b", int64(6), int64(2), int64(2), int64(4)},
+	}
+	rowsEqual(t, "aggregate", got.Rows(), want)
+}
+
+// TestStreamedAggregateMatchesHash: the hash aggregate must equal the
+// streamed aggregate over sorted input (the oracle) on random row sets.
+func TestStreamedAggregateMatchesHash(t *testing.T) {
+	aggs := []Agg{{AggSum, 1}, {AggCount, 1}}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := r.Intn(100)
+		rows := make([]Row, n)
+		for i := range rows {
+			rows[i] = Row{int64(r.Intn(6)), float64(r.Intn(10))}
 		}
-		return true
+		hashed := HashAggregateBatch(BatchFromRows(rows), []int{0}, aggs).Rows()
+		return reflect.DeepEqual(hashed, aggregateRows(rows, []int{0}, aggs))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -239,24 +197,17 @@ func mixedKey(r *rand.Rand, domain int) Value {
 
 // TestHashJoinMixedNumericKeys: an int64 build column joined against a
 // float64 probe column must match wherever Compare says the keys are
-// equal (the Hash normalization regression).
+// equal (the Hash normalization regression), also when kinds mix within
+// one column.
 func TestHashJoinMixedNumericKeys(t *testing.T) {
 	build := []Row{{int64(1), "b1"}, {int64(2), "b2"}, {int64(3), "b3"}}
 	probe := []Row{{float64(2), "p2"}, {float64(3), "p3"}, {float64(9), "p9"}}
-	got := Drain(NewHashJoin(build, []int{0}, NewSliceIter(probe), []int{0}))
-	if len(got) != 2 {
-		t.Fatalf("join found %d matches, want 2: %v", len(got), got)
-	}
-	for _, r := range got {
-		if Compare(r[0], r[2]) != 0 {
-			t.Errorf("mismatched keys in %v", r)
-		}
-	}
-}
+	got := HashJoinBatch(BatchFromRows(build), []int{0}, BatchFromRows(probe), []int{0}).Rows()
+	rowsEqual(t, "int64 build, float64 probe", got, []Row{
+		{float64(2), "p2", int64(2), "b2"},
+		{float64(3), "p3", int64(3), "b3"},
+	})
 
-// TestMergeJoinMatchesHashJoinMixedKinds cross-validates the joins when
-// numeric key kinds are mixed within the same column.
-func TestMergeJoinMatchesHashJoinMixedKinds(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		gen := func(n int) []Row {
@@ -266,43 +217,17 @@ func TestMergeJoinMatchesHashJoinMixedKinds(t *testing.T) {
 			}
 			return rows
 		}
-		left, right := gen(r.Intn(30)), gen(r.Intn(30))
-		SortRows(left, []int{0})
-		SortRows(right, []int{0})
-		mj := Drain(NewMergeJoin(left, []int{0}, right, []int{0}))
-		hj := Drain(NewHashJoin(right, []int{0}, NewSliceIter(left), []int{0}))
-		return len(mj) == len(hj) && reflect.DeepEqual(canonRows(mj), canonRows(hj))
+		build, probe := gen(r.Intn(30)), gen(r.Intn(30))
+		got := HashJoinBatch(BatchFromRows(build), []int{0}, BatchFromRows(probe), []int{0}).Rows()
+		return reflect.DeepEqual(got, joinRows(build, []int{0}, probe, []int{0}))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }
 
-// canonRows renders rows order-insensitively with numerics normalized, so
-// int64(3) and float64(3) — equal under Compare — canonicalize alike.
-func canonRows(rs []Row) []string {
-	out := make([]string, len(rs))
-	for i, row := range rs {
-		s := ""
-		for _, v := range row {
-			switch x := v.(type) {
-			case int64:
-				s += fmt.Sprintf("n%g|", float64(x))
-			case float64:
-				s += fmt.Sprintf("n%g|", x)
-			default:
-				s += fmt.Sprintf("v%v|", x)
-			}
-		}
-		out[i] = s
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TestHashAggregateMatchesStreamedMultiKey: the flat-table hash aggregate
-// and the one-pass streamed aggregate must agree on random multi-key,
-// mixed-kind row sets (after sorting the input for the streamed one).
+// TestHashAggregateMatchesStreamedMultiKey: the hash aggregate and the
+// streamed oracle must agree on random multi-key, mixed-kind row sets.
 func TestHashAggregateMatchesStreamedMultiKey(t *testing.T) {
 	aggs := []Agg{{AggSum, 2}, {AggCount, 2}, {AggMin, 2}, {AggMax, 2}}
 	f := func(seed int64) bool {
@@ -310,13 +235,10 @@ func TestHashAggregateMatchesStreamedMultiKey(t *testing.T) {
 		n := r.Intn(120)
 		rows := make([]Row, n)
 		for i := range rows {
-			rows[i] = Row{int64(r.Intn(4)), string(rune('a' + r.Intn(3))), float64(r.Intn(10))}
+			rows[i] = Row{mixedKey(r, 4), string(rune('a' + r.Intn(3))), float64(r.Intn(10))}
 		}
-		hashed := HashAggregate(rows, []int{0, 1}, aggs)
-		sorted := append([]Row(nil), rows...)
-		SortRows(sorted, []int{0, 1})
-		streamed := StreamedAggregate(NewSliceIter(sorted), []int{0, 1}, aggs)
-		return reflect.DeepEqual(hashed, streamed)
+		hashed := HashAggregateBatch(BatchFromRows(rows), []int{0, 1}, aggs).Rows()
+		return reflect.DeepEqual(hashed, aggregateRows(rows, []int{0, 1}, aggs))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -331,7 +253,7 @@ func TestHashAggregateMixedKindKeys(t *testing.T) {
 		{float64(7), int64(10)},
 		{int64(8), int64(100)},
 	}
-	got := HashAggregate(rows, []int{0}, []Agg{{AggSum, 1}, {AggCount, 1}})
+	got := HashAggregateBatch(BatchFromRows(rows), []int{0}, []Agg{{AggSum, 1}, {AggCount, 1}}).Rows()
 	if len(got) != 2 {
 		t.Fatalf("groups = %d, want 2: %v", len(got), got)
 	}
@@ -340,35 +262,8 @@ func TestHashAggregateMixedKindKeys(t *testing.T) {
 	}
 }
 
-func TestMergeSortedRunsManyRuns(t *testing.T) {
-	// More than four runs exercises the cursor-heap path.
-	r := rand.New(rand.NewSource(9))
-	var runs [][]Row
-	var all []Row
-	for i := 0; i < 12; i++ {
-		n := r.Intn(40)
-		run := make([]Row, n)
-		for j := range run {
-			run[j] = Row{int64(r.Intn(50))}
-		}
-		SortRows(run, []int{0})
-		runs = append(runs, run)
-		all = append(all, run...)
-	}
-	merged := MergeSortedRuns(runs, []int{0})
-	SortRows(all, []int{0})
-	if len(merged) != len(all) {
-		t.Fatalf("merged %d rows, want %d", len(merged), len(all))
-	}
-	for i := range merged {
-		if Compare(merged[i][0], all[i][0]) != 0 {
-			t.Fatalf("order diverges at %d: %v vs %v", i, merged[i], all[i])
-		}
-	}
-}
-
 // TestTopKMatchesSortOracle: the bounded heap must reproduce the
-// copy+stable-sort+truncate oracle exactly, including tie stability.
+// stable-sort+truncate oracle exactly, including tie order, both ways.
 func TestTopKMatchesSortOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -380,21 +275,10 @@ func TestTopKMatchesSortOracle(t *testing.T) {
 			rows[i] = Row{int64(r.Intn(8)), int64(i)}
 		}
 		k := r.Intn(20)
-		oracle := append([]Row(nil), rows...)
-		sort.SliceStable(oracle, func(i, j int) bool { return CompareRows(oracle[i], oracle[j], []int{0}) < 0 })
-		if k < len(oracle) {
-			oracle = oracle[:k]
-		}
-		got := TopK(rows, []int{0}, k)
-		if len(got) != len(oracle) {
-			return false
-		}
-		for i := range got {
-			if got[i][0] != oracle[i][0] || got[i][1] != oracle[i][1] {
-				return false
-			}
-		}
-		return true
+		desc := r.Intn(2) == 0
+		got := TopKBatch(BatchFromRows(rows), []int{0}, k, desc).Rows()
+		want := topKRows(rows, []int{0}, k, desc)
+		return len(got) == len(want) && (len(got) == 0 || reflect.DeepEqual(got, want))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -402,31 +286,32 @@ func TestTopKMatchesSortOracle(t *testing.T) {
 }
 
 func TestTopKDesc(t *testing.T) {
-	rows := []Row{intRow(5), intRow(1), intRow(9), intRow(7)}
-	got := TopKDesc(rows, []int{0}, 2)
+	b := BatchFromRows([]Row{intRow(5), intRow(1), intRow(9), intRow(7)})
+	got := TopKBatch(b, []int{0}, 2, true).Rows()
 	if len(got) != 2 || got[0][0] != int64(9) || got[1][0] != int64(7) {
 		t.Errorf("got %v", got)
 	}
-	// Stability on ties: the earlier input row ranks first.
-	tied := []Row{{int64(3), "first"}, {int64(3), "second"}, {int64(1), "low"}}
-	got = TopKDesc(tied, []int{0}, 2)
-	if got[0][1] != "first" || got[1][1] != "second" {
+	// DESC reverses the stable ascending order as a whole, so ties list
+	// the later input row first (ORDER BY ... DESC in the SQL sink).
+	tied := BatchFromRows([]Row{{int64(3), "first"}, {int64(3), "second"}, {int64(1), "low"}})
+	got = TopKBatch(tied, []int{0}, 2, true).Rows()
+	if got[0][1] != "second" || got[1][1] != "first" {
 		t.Errorf("tie order: %v", got)
 	}
 }
 
 func TestTopK(t *testing.T) {
-	rows := []Row{intRow(5), intRow(1), intRow(3), intRow(2)}
-	got := TopK(rows, []int{0}, 2)
+	b := BatchFromRows([]Row{intRow(5), intRow(1), intRow(3), intRow(2)})
+	got := TopKBatch(b, []int{0}, 2, false).Rows()
 	if len(got) != 2 || got[0][0] != int64(1) || got[1][0] != int64(2) {
 		t.Errorf("got %v", got)
 	}
-	if got := TopK(rows, []int{0}, 10); len(got) != 4 {
-		t.Errorf("k>len: %v", got)
+	if got := TopKBatch(b, []int{0}, 10, false); got.Len != 4 {
+		t.Errorf("k>len: %d rows", got.Len)
 	}
 	// Input not mutated.
-	if rows[0][0] != int64(5) {
-		t.Error("TopK mutated input")
+	if b.Cols[0].Ints[0] != 5 {
+		t.Error("TopKBatch mutated its input")
 	}
 }
 

@@ -15,6 +15,11 @@ func windowInput() []Row {
 	}
 }
 
+// window runs WindowBatch over rows and returns the result as rows.
+func window(rows []Row, spec WindowSpec) []Row {
+	return WindowBatch(BatchFromRows(rows), spec).Rows()
+}
+
 func lastCol(rows []Row) []Value {
 	out := make([]Value, len(rows))
 	for i, r := range rows {
@@ -24,7 +29,7 @@ func lastCol(rows []Row) []Value {
 }
 
 func TestWindowRowNumber(t *testing.T) {
-	got := Window(windowInput(), WindowSpec{PartitionBy: []int{0}, OrderBy: []int{1}, Func: WinRowNumber})
+	got := window(windowInput(), WindowSpec{PartitionBy: []int{0}, OrderBy: []int{1}, Func: WinRowNumber})
 	want := []Value{int64(1), int64(2), int64(3), int64(1), int64(2)}
 	if !reflect.DeepEqual(lastCol(got), want) {
 		t.Errorf("row_number = %v, want %v", lastCol(got), want)
@@ -36,13 +41,13 @@ func TestWindowRowNumber(t *testing.T) {
 }
 
 func TestWindowRankAndDenseRank(t *testing.T) {
-	rank := Window(windowInput(), WindowSpec{PartitionBy: []int{0}, OrderBy: []int{1}, Func: WinRank})
+	rank := window(windowInput(), WindowSpec{PartitionBy: []int{0}, OrderBy: []int{1}, Func: WinRank})
 	// Partition a ordered by key: (1),(1),(3) -> ranks 1,1,3.
 	want := []Value{int64(1), int64(1), int64(3), int64(1), int64(2)}
 	if !reflect.DeepEqual(lastCol(rank), want) {
 		t.Errorf("rank = %v, want %v", lastCol(rank), want)
 	}
-	dense := Window(windowInput(), WindowSpec{PartitionBy: []int{0}, OrderBy: []int{1}, Func: WinDenseRank})
+	dense := window(windowInput(), WindowSpec{PartitionBy: []int{0}, OrderBy: []int{1}, Func: WinDenseRank})
 	wantD := []Value{int64(1), int64(1), int64(2), int64(1), int64(2)}
 	if !reflect.DeepEqual(lastCol(dense), wantD) {
 		t.Errorf("dense_rank = %v, want %v", lastCol(dense), wantD)
@@ -50,7 +55,7 @@ func TestWindowRankAndDenseRank(t *testing.T) {
 }
 
 func TestWindowRunningSum(t *testing.T) {
-	got := Window(windowInput(), WindowSpec{PartitionBy: []int{0}, OrderBy: []int{1}, Func: WinRunningSum, ValueCol: 2})
+	got := window(windowInput(), WindowSpec{PartitionBy: []int{0}, OrderBy: []int{1}, Func: WinRunningSum, ValueCol: 2})
 	// Partition a sorted: rows with value 2,4 (keys 1,1 stable) then 1.
 	want := []Value{2.0, 6.0, 7.0, 3.0, 8.0}
 	if !reflect.DeepEqual(lastCol(got), want) {
@@ -64,11 +69,12 @@ func TestWindowRunningSum(t *testing.T) {
 }
 
 func TestWindowEmptyAndSinglePartition(t *testing.T) {
-	if got := Window(nil, WindowSpec{Func: WinRowNumber}); len(got) != 0 {
-		t.Errorf("empty input gave %v", got)
+	empty := BatchFromRows([]Row{{int64(1)}}).Gather(nil)
+	if got := WindowBatch(empty, WindowSpec{OrderBy: []int{0}, Func: WinRowNumber}); got.Len != 0 || got.NumCols() != 2 {
+		t.Errorf("empty input gave %d rows x %d cols", got.Len, got.NumCols())
 	}
 	rows := []Row{{int64(2)}, {int64(1)}}
-	got := Window(rows, WindowSpec{OrderBy: []int{0}, Func: WinRowNumber})
+	got := window(rows, WindowSpec{OrderBy: []int{0}, Func: WinRowNumber})
 	if got[0][0] != int64(1) || got[0][1] != int64(1) || got[1][1] != int64(2) {
 		t.Errorf("single partition = %v", got)
 	}

@@ -9,17 +9,18 @@ import (
 )
 
 // BatchParity guards the columnar data plane's correctness story: every
-// exported batch kernel in internal/engine must be pinned to its row
-// counterpart by an equivalence test. A kernel is an exported package-level
-// function that takes a *Batch and returns a *Batch (or []*Batch), plus
-// the Hash*Batch* in-place hashing kernels; it must be referenced from a
-// test function in the same package whose name marks it as an equivalence
-// check (Test*Equivalence, Test*Matches*, or Test*Parity*). A batch kernel
-// without that anchor can silently drift from the row semantics the whole
+// exported batch kernel in internal/engine must be pinned to the reference
+// oracle (a naive row implementation in the package's tests) by an
+// equivalence test. A kernel is an exported package-level function that
+// takes a *Batch and returns a *Batch (or []*Batch), plus the Hash*Batch*
+// in-place hashing kernels; it must be referenced from a test function in
+// the same package whose name marks it as an equivalence check
+// (Test*Equivalence, Test*Matches*, or Test*Parity*). A batch kernel
+// without that anchor can silently drift from the semantics the whole
 // engine is validated against.
 var BatchParity = &Analyzer{
 	Name: "batchparity",
-	Doc:  "every exported *Batch kernel in internal/engine needs a row-equivalence test",
+	Doc:  "every exported *Batch kernel in internal/engine needs an equivalence test against the reference oracle",
 	Run:  runBatchParity,
 }
 

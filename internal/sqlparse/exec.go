@@ -140,7 +140,7 @@ func Compile(id string, stmt *SelectStmt, schema engine.Schema, opts CompileOpti
 	}
 
 	// ORDER BY resolves against the output schema; directions must agree
-	// (the batch sort is one ordering pass, reversed as a whole for DESC).
+	// (TopKBatch orders by one pass, reversed as a whole for DESC).
 	var sortKeys []int
 	sortDesc := false
 	for i, o := range stmt.OrderBy {
@@ -211,22 +211,12 @@ func Compile(id string, stmt *SelectStmt, schema engine.Schema, opts CompileOpti
 				return err
 			}
 			res := in.Project(outSrc)
-			if len(sortKeys) > 0 {
-				res = engine.SortBatch(res, sortKeys)
-				if sortDesc {
-					sel := make([]int32, res.Len)
-					for i := range sel {
-						sel[i] = int32(res.Len - 1 - i)
-					}
-					res = res.Gather(sel)
+			if len(sortKeys) > 0 || limit >= 0 {
+				k := res.Len
+				if limit >= 0 {
+					k = limit
 				}
-			}
-			if limit >= 0 && limit < res.Len {
-				sel := make([]int32, limit)
-				for i := range sel {
-					sel[i] = int32(i)
-				}
-				res = res.Gather(sel)
+				res = engine.TopKBatch(res, sortKeys, k, sortDesc)
 			}
 			ctx.SinkBatch(res)
 			return nil

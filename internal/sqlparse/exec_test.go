@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -170,6 +171,31 @@ func TestCompileRejectsUnsupported(t *testing.T) {
 		}
 		if _, err := Compile("q", stmt, engine.Schema{"a", "b"}, CompileOptions{}); err == nil {
 			t.Errorf("Compile(%q) succeeded, want error", src)
+		}
+	}
+}
+
+// TestCompileOverScanMatchesExactScan: scan tasks beyond the table's
+// partitions read an empty partition that still has the table's columns
+// to project, so over-scanning returns exactly the rows of a scan with one
+// task per partition.
+func TestCompileOverScanMatchesExactScan(t *testing.T) {
+	e, _ := execEngine(t)
+	sch := tpch.LiteSchemas["lineitem"]
+	for _, src := range []string{
+		`SELECT l_suppkey, sum(l_extendedprice) AS rev, count(*) AS n FROM lineitem GROUP BY l_suppkey ORDER BY l_suppkey`,
+		`SELECT l_orderkey, l_quantity FROM lineitem ORDER BY l_quantity DESC LIMIT 25`,
+	} {
+		exact, _, err := CompileAndRun(e, "exact-"+src, src, sch, CompileOptions{ScanTasks: 4, AggTasks: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		over, _, err := CompileAndRun(e, "over-"+src, src, sch, CompileOptions{ScanTasks: 6, AggTasks: 2})
+		if err != nil {
+			t.Fatalf("over-scan: %v", err)
+		}
+		if len(exact) == 0 || !reflect.DeepEqual(over, exact) {
+			t.Errorf("%s: over-scan gave %d rows, exact scan %d (or they differ)", src, len(over), len(exact))
 		}
 	}
 }

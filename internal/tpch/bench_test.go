@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"swift/internal/engine"
@@ -62,4 +63,30 @@ func BenchmarkTPCHLiteEngine(b *testing.B) {
 		}
 		b.ReportMetric(rows*float64(b.N)/b.Elapsed().Seconds(), "lineitems/s")
 	})
+	b.Run("Q12", func(b *testing.B) {
+		cut := medianTotalPrice(l)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			job, plans := LiteQ12(4, 3, "1994-01-01", "1995-01-01", cut)
+			job.ID = nextID("q12")
+			if _, err := e.Run(job, plans); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(rows*float64(b.N)/b.Elapsed().Seconds(), "lineitems/s")
+	})
+}
+
+// medianTotalPrice is Q12's price threshold: half the orders rank high.
+func medianTotalPrice(l *Lite) float64 {
+	col := orCols.MustCol("o_totalprice")
+	var totals []float64
+	for _, part := range l.Orders.Partitions {
+		for _, r := range part {
+			totals = append(totals, r[col].(float64))
+		}
+	}
+	sort.Float64s(totals)
+	return totals[len(totals)/2]
 }

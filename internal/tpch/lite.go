@@ -6,9 +6,10 @@ import (
 )
 
 // Runnable TPC-H-lite queries: physical plans that execute for real on the
-// engine against a GenerateLite database. Three queries cover the suite's
+// engine against a GenerateLite database. Four queries cover the suite's
 // operator classes — Q1 (scan + streamed aggregation), Q6 (filter + global
-// sum) and Q3 (3-way join + group-by + top-k ordering). Each returns the
+// sum), Q3 (3-way join + group-by + top-k ordering) and Q12 (semi-join +
+// conditional aggregation, lite_q12.go). Each returns the
 // job DAG and the stage bodies; reference implementations for verification
 // live beside them (LiteQ*Reference).
 
@@ -271,13 +272,13 @@ func LiteQ3(scanTasks, joinTasks, topK int, segment, date string) (*dag.Job, eng
 			return ctx.EmitBatchPartitioned("top", []*engine.Batch{out})
 		},
 		"top": func(ctx *engine.TaskContext) error {
-			rows, err := ctx.Input("join")
+			b, err := ctx.InputBatch("join") // (orderkey, revenue, orderdate)
 			if err != nil {
 				return err
 			}
-			// Order by revenue desc via the bounded heap — no negate-and-
-			// copy round-trip through an ascending sort.
-			ctx.Sink(engine.TopKDesc(rows, []int{1}, topK))
+			// Order by revenue desc via the bounded heap — no full sort of
+			// every qualifying order.
+			ctx.SinkBatch(engine.TopKBatch(b, []int{1}, topK, true))
 			return nil
 		},
 	}
